@@ -102,6 +102,19 @@ func (q *fifo[T]) head() *entry[T] {
 	return q.items[0]
 }
 
+// compact drops every taken entry, wherever it sits in the queue,
+// keeping the live ones in order and the backing array for reuse.
+func (q *fifo[T]) compact() {
+	kept := q.items[:0]
+	for _, e := range q.items {
+		if e != nil && !e.taken {
+			kept = append(kept, e)
+		}
+	}
+	clear(q.items[len(kept):])
+	q.items = kept
+}
+
 // PatternSet holds posted receive patterns, each indexed under its own
 // (possibly wildcarded) key, in posting order. classes counts the live
 // patterns per wildcard class so a probe skips the map lookups for
@@ -219,11 +232,18 @@ func (s *PatternSet[T]) TakeFunc(pred func(Pattern, T) bool) []T {
 // instead of four of each, while ANY_TAG/ANY_SOURCE apps pay a
 // one-time O(n log n) index build and then the same O(1) probes as
 // before.
+//
+// A match takes its entry through one bucket only; the entry's slots
+// in the item's other buckets are dropped lazily, when a probe of that
+// bucket reaches them. A bucket nothing probes — the exact-key FIFO of
+// a message received with AnySource, say — would otherwise keep every
+// taken entry forever, so Add also sweeps all buckets now and then.
 type ItemSet[T any] struct {
 	seq     uint64
 	buckets map[Pattern]*fifo[T]
 	live    int
 	active  [4]bool
+	pushed  int // index slots appended since the last sweep
 }
 
 // NewItemSet returns an empty item set.
@@ -247,8 +267,25 @@ func (s *ItemSet[T]) Add(c Concrete, v T) {
 			s.buckets[k] = q
 		}
 		q.push(e)
+		s.pushed++
 	}
 	s.live++
+	if s.pushed > 8*s.live+1024 {
+		s.sweep()
+	}
+}
+
+// sweep drops taken entries from every bucket. Add runs it once the
+// slots pushed since the last sweep outgrow the live items: a sweep
+// walks O(slots), at most a constant factor more than those pushes, so
+// it costs amortised O(1) per Add however the items are matched. Empty
+// buckets stay in the map so the next push under the same key reuses
+// them.
+func (s *ItemSet[T]) sweep() {
+	for _, q := range s.buckets {
+		q.compact()
+	}
+	s.pushed = 0
 }
 
 // activate builds the bucket index for a wildcard class from the live

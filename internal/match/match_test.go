@@ -273,3 +273,37 @@ func BenchmarkItemSet650PendingWildcards(b *testing.B) {
 		}
 	}
 }
+
+// TestItemSetWildcardTakesDoNotAccumulate checks that items taken
+// through a wildcard bucket do not stay behind in their exact-key
+// FIFO, which no probe visits: after many exact-key arrivals, each
+// received with AnySource, the index holds O(live + constant) slots,
+// and the items still waiting keep their arrival order.
+func TestItemSetWildcardTakesDoNotAccumulate(t *testing.T) {
+	const held, n = 64, 100_000
+	s := NewItemSet[int]()
+	for i := 0; i < held; i++ {
+		s.Add(Concrete{Ctx: 1, Tag: 9, Src: uint64(i % 3)}, -1-i)
+	}
+	for i := 0; i < n; i++ {
+		s.Add(Concrete{Ctx: 1, Tag: 7, Src: uint64(i % 3)}, i)
+		if v, ok := s.Match(Pattern{Ctx: 1, Tag: 7, Src: AnySource}); !ok || v != i {
+			t.Fatalf("AnySource match %d = (%d, %v)", i, v, ok)
+		}
+	}
+	slots := 0
+	for _, q := range s.buckets {
+		slots += len(q.items)
+	}
+	if limit := 16*held + 2048; slots > limit {
+		t.Fatalf("%d index slots for %d live items after %d wildcard takes, want <= %d", slots, s.Len(), n, limit)
+	}
+	for i := 0; i < held; i++ {
+		if v, ok := s.Match(Pattern{Ctx: 1, Tag: 9, Src: AnySource}); !ok || v != -1-i {
+			t.Fatalf("held item %d = (%d, %v), want (%d, true)", i, v, ok, -1-i)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after draining", s.Len())
+	}
+}

@@ -13,15 +13,10 @@ import (
 
 var jobCounter atomic.Int64
 
-// conformanceRunner adapts the shared device conformance suite.
-func conformanceRunner(tr func() xdev.Transport) devtest.JobRunner {
-	return conformanceRunnerCfg(tr, nil)
-}
-
-// conformanceRunnerCfg is conformanceRunner with a per-rank Config
-// mutator, used to pin the send-engine mode (and any future tunable)
-// for a whole suite run.
-func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) devtest.JobRunner {
+// conformanceRunner adapts the shared device conformance suite. A
+// positive queueBound lowers every peer send queue's frame bound
+// before the job body runs; zero keeps DefaultSendQueue.
+func conformanceRunner(tr func() xdev.Transport, queueBound int) devtest.JobRunner {
 	return func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
 		t.Helper()
 		dialer := tr()
@@ -39,13 +34,9 @@ func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) d
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				cfg := xdev.Config{
+				pidLists[rank], errs[rank] = devs[rank].Init(xdev.Config{
 					Rank: rank, Size: n, Addrs: addrs, Dialer: dialer,
-				}
-				if mutate != nil {
-					mutate(&cfg)
-				}
-				pidLists[rank], errs[rank] = devs[rank].Init(cfg)
+				})
 			}(i)
 		}
 		wg.Wait()
@@ -59,6 +50,11 @@ func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) d
 				d.Finish()
 			}
 		}()
+		if queueBound > 0 {
+			for _, d := range devs {
+				setQueueBound(d, queueBound)
+			}
+		}
 		var jobWG sync.WaitGroup
 		for i := 0; i < n; i++ {
 			jobWG.Add(1)
@@ -71,29 +67,22 @@ func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) d
 	}
 }
 
+func inProc() xdev.Transport { return transport.NewInProc(0) }
+
 func TestConformanceInProc(t *testing.T) {
-	devtest.RunConformance(t,
-		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }),
+	devtest.RunConformance(t, conformanceRunner(inProc, 0),
 		devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
 }
 
-// TestConformanceInProcDirect pins MPJ_SEND_ENGINE=direct: the
-// synchronous escape-hatch path must pass the same suite the default
-// engine path does.
+// TestConformanceInProcDirect runs the suite with every peer send
+// queue bounded at one frame. A sender then either writes its frame
+// directly, under the destination lock (the caller-runs path: the
+// paper's lock/send/unlock), or waits for the one queued slot, so
+// every operation of the suite crosses the engine's inline write and
+// its bounded-enqueue backpressure.
 func TestConformanceInProcDirect(t *testing.T) {
-	devtest.RunConformance(t,
-		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
-			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
+	devtest.RunConformance(t, conformanceRunner(inProc, 1),
 		devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
-}
-
-// TestChaosConformanceInProcDirect keeps the failure semantics of the
-// direct path covered alongside the engine default.
-func TestChaosConformanceInProcDirect(t *testing.T) {
-	devtest.RunChaos(t,
-		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
-			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
-		devtest.ChaosOptions{HasPeek: true})
 }
 
 // TestConformanceTCP runs the same suite over real loopback sockets —
@@ -155,14 +144,18 @@ func TestConformanceTCP(t *testing.T) {
 // TestChaosConformanceInProc runs the shared failure-semantics suite:
 // blocked calls must fail typed, not hang, under Finish and peer death.
 func TestChaosConformanceInProc(t *testing.T) {
-	devtest.RunChaos(t,
-		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }),
-		devtest.ChaosOptions{HasPeek: true})
+	devtest.RunChaos(t, conformanceRunner(inProc, 0), devtest.ChaosOptions{HasPeek: true})
+}
+
+// TestChaosConformanceInProcDirect is the failure-semantics suite at a
+// queue bound of one frame (see TestConformanceInProcDirect): peer
+// death and Finish must also wake senders blocked on a full queue.
+func TestChaosConformanceInProcDirect(t *testing.T) {
+	devtest.RunChaos(t, conformanceRunner(inProc, 1), devtest.ChaosOptions{HasPeek: true})
 }
 
 // TestRecoveryConformanceInProc runs the survivor-continues recovery
 // suite: kill a rank mid-operation, then Revoke/Shrink/Agree/Restore.
 func TestRecoveryConformanceInProc(t *testing.T) {
-	devtest.RunRecovery(t,
-		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }))
+	devtest.RunRecovery(t, conformanceRunner(inProc, 0))
 }

@@ -34,8 +34,6 @@ package niodev
 import (
 	"fmt"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,21 +68,18 @@ type Device struct {
 	eagerLimit int
 
 	// Write channels: one conn per destination slot, each with its own
-	// lock (the paper's per-destination channel lock). In engine mode
-	// the lock is the conn-ownership lock shared by the drainer's
-	// batched writes and the few remaining direct writes (abort,
-	// revoke), so frames from the two paths never interleave.
+	// lock (the paper's per-destination channel lock). The lock is the
+	// conn-ownership lock shared by the engine's batched writes and the
+	// few synchronous writes (abort, revoke), so frames from the two
+	// never interleave.
 	wmu   []sync.Mutex
 	wconn []net.Conn
 
-	// engine is the asynchronous send path (sendengine.go): per-peer
-	// frame queues drained by coalescing sender goroutines. Nil for
-	// single-process jobs and under MPJ_SEND_ENGINE=direct, in which
-	// case every frame goes through writeMsg synchronously.
-	engine    *sendEngine
-	sendQueue  int
-	sendSpin   int
-	sendInline bool
+	// engine is the outbound path (sendengine.go): per-peer frame
+	// queues written by the caller when the peer's writer role is free,
+	// else drained by coalescing sender goroutines. Nil for
+	// single-process jobs, which never send over the wire.
+	engine *sendEngine
 
 	// core is the shared progress engine: the receive-communication
 	// sets (posted + arrived under the paper's single lock), the
@@ -165,19 +160,6 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 	d.wmu = make([]sync.Mutex, cfg.Size)
 	d.wconn = make([]net.Conn, cfg.Size)
 	d.crcOut = !cfg.DisableChecksum
-	engineMode, err := sendEngineEnabled(cfg.SendEngine)
-	if err != nil {
-		return nil, err
-	}
-	d.sendQueue = intSetting(cfg.SendQueue, "MPJ_SEND_QUEUE", DefaultSendQueue)
-	if d.sendQueue < 1 {
-		d.sendQueue = 1
-	}
-	d.sendSpin = intSetting(cfg.SendSpin, "MPJ_SEND_SPIN", DefaultSendSpin)
-	if d.sendSpin < 0 {
-		d.sendSpin = 0 // negative disables spinning: park immediately
-	}
-	d.sendInline = boolSetting("MPJ_SEND_INLINE", true)
 
 	if cfg.Size > 1 {
 		if len(cfg.Addrs) != cfg.Size {
@@ -209,55 +191,13 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			d.Finish()
 			return nil, &xdev.Error{Dev: DeviceName, Op: "await inbound connections", Err: err}
 		}
-		if engineMode {
-			// Started only after the job is fully wired: no frame can be
-			// enqueued before Init returns, and every write conn exists.
-			d.engine = newSendEngine(d, d.sendQueue, d.sendSpin, d.sendInline)
-			d.engine.start()
-		}
+		// Started only after the job is fully wired: no frame can be
+		// enqueued before Init returns, and every write conn exists.
+		d.engine = newSendEngine(d)
+		d.engine.start()
 	}
 	d.initDone = true
 	return append([]xdev.ProcessID(nil), d.pids...), nil
-}
-
-// sendEngineEnabled resolves the outbound-path selector: the Config
-// field, then MPJ_SEND_ENGINE, then the default (engine on).
-func sendEngineEnabled(setting string) (bool, error) {
-	if setting == "" {
-		setting = os.Getenv("MPJ_SEND_ENGINE")
-	}
-	switch setting {
-	case "", "engine", "on":
-		return true, nil
-	case "direct", "off":
-		return false, nil
-	}
-	return false, xdev.Errf(DeviceName, "init", "bad send-engine mode %q (want engine or direct)", setting)
-}
-
-// boolSetting resolves a boolean environment tunable.
-func boolSetting(env string, def bool) bool {
-	switch os.Getenv(env) {
-	case "1", "on", "true", "yes":
-		return true
-	case "0", "off", "false", "no":
-		return false
-	}
-	return def
-}
-
-// intSetting resolves an integer tunable: the Config value when
-// non-zero, else the environment variable, else the default.
-func intSetting(cfgVal int, env string, def int) int {
-	if cfgVal != 0 {
-		return cfgVal
-	}
-	if s := os.Getenv(env); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-	}
-	return def
 }
 
 // dialPeer dials addr, retrying with jittered exponential backoff
@@ -361,60 +301,40 @@ func (d *Device) Finish() error {
 }
 
 // sayGoodbye broadcasts a best-effort bye frame to every live peer.
-// Writes run concurrently under a short bound so a wedged write
-// channel cannot turn Finish into a hang: shutdown closes the
-// connections immediately afterwards, failing any straggler, and that
-// peer simply sees EOF (a loss) instead of the bye.
+// The flush is bounded so a wedged write channel cannot turn Finish
+// into a hang: shutdown closes the connections immediately afterwards,
+// failing any straggler, and that peer simply sees EOF (a loss)
+// instead of the bye. A nil engine (single-process job, or an Init
+// that failed before the job was wired) has no peer to tell.
 func (d *Device) sayGoodbye() {
-	if d.closed.Load() || len(d.pids) == 0 {
+	e := d.engine
+	if d.closed.Load() || e == nil {
 		return
 	}
+	// Flush-on-finalize: close each peer's queue with the bye frame
+	// appended *behind* everything already queued, so every data frame
+	// a sender enqueued before Finish reaches the wire ahead of the
+	// goodbye — no frame is left queued. Then wait (bounded) for the
+	// drainers to run the queues dry.
 	h := header{typ: msgBye, src: uint32(d.cfg.Rank)}
-	if e := d.engine; e != nil {
-		// Flush-on-finalize: close each peer's queue with the bye frame
-		// appended *behind* everything already queued, so every data
-		// frame a sender enqueued before Finish reaches the wire ahead
-		// of the goodbye — no frame is left queued. Then wait (bounded)
-		// for the drainers to run the queues dry.
-		deadline := time.Now().Add(goodbyeFlush)
-		for slot := range d.pids {
-			if slot == d.cfg.Rank || d.peerErr(slot) != nil {
-				continue
-			}
-			q := e.queue(slot)
-			if q == nil {
-				continue
-			}
-			f := d.newFrame(h, nil, nil, xdev.Status{})
-			if !q.closeWith(f) {
-				putFrame(f) // already poisoned or closing; nothing to flush
-			}
-		}
-		for _, q := range e.qs {
-			if q != nil {
-				q.waitIdle(deadline)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
+	deadline := time.Now().Add(goodbyeFlush)
 	for slot := range d.pids {
 		if slot == d.cfg.Rank || d.peerErr(slot) != nil {
 			continue
 		}
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			_ = d.writeMsg(slot, h, nil)
-		}(slot)
+		q := e.queue(slot)
+		if q == nil {
+			continue
+		}
+		f := d.newFrame(h, nil, nil, xdev.Status{})
+		if !q.closeWith(f) {
+			putFrame(f) // already poisoned or closing; nothing to flush
+		}
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	t := time.NewTimer(100 * time.Millisecond)
-	defer t.Stop()
-	select {
-	case <-done:
-	case <-t.C:
+	for _, q := range e.qs {
+		if q != nil {
+			q.waitIdle(deadline)
+		}
 	}
 }
 

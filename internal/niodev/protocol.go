@@ -153,9 +153,11 @@ func payloadCRC(segments [][]byte) uint32 {
 
 // writeMsg writes a header and optional payload segments to dst's write
 // channel under the per-destination lock (the paper's "lock dest
-// channel / send / unlock"). The header comes from the devcore slice
-// pool: the write is synchronous, so the slice can be recycled as soon
-// as WriteTo returns.
+// channel / send / unlock"), bypassing the send engine. Only the abort
+// and revoke floods use it: their frames must reach the wire before
+// shutdown poisons the engine's queues. The header comes from the
+// devcore slice pool: the write is synchronous, so the slice can be
+// recycled as soon as WriteTo returns.
 func (d *Device) writeMsg(slot int, h header, segments [][]byte) error {
 	hdr := devcore.GetSlice(headerLen)
 	if d.crcOut {
@@ -214,13 +216,12 @@ func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st 
 	return f
 }
 
-// send routes one protocol frame to slot — the single choke point the
-// two outbound paths share. In engine mode (the default) it enqueues
-// the frame on the peer's send queue and returns without touching the
-// network: the peer's drainer coalesces it into a batch, writes, and
-// completes req (if the frame carries one) with st. In direct mode
-// (MPJ_SEND_ENGINE=direct) it writes synchronously via writeMsg and
-// completes req inline.
+// send routes one protocol frame to slot through the send engine, the
+// device's only outbound path for traffic. A may-block caller that
+// finds the peer's writer role free writes its frame (plus anything
+// queued) itself; otherwise the frame is enqueued for the peer's
+// drainer, which coalesces it into a batch, writes, and completes req
+// (if the frame carries one) with st.
 //
 // bounded selects backpressure: data frames from application threads
 // pass true and block while the peer's queue is full; control frames
@@ -234,35 +235,22 @@ func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st 
 // satisfies errors.Is for xdev.ErrPeerLost (or the device-closed /
 // abort shape). Callers only unwind their own registration state.
 func (d *Device) send(slot int, h header, segments [][]byte, req *devcore.Request, st xdev.Status, bounded bool) error {
-	if e := d.engine; e != nil {
-		q := e.queue(slot)
-		if q == nil {
-			return xdev.Errf(DeviceName, "send", "no queue for slot %d", slot)
-		}
-		f := d.newFrame(h, segments, req, st)
-		var err error
-		if bounded {
-			// May-block callers go through the caller-runs fast path:
-			// when the writer role is free the sender writes its own
-			// frame (plus anything queued) inline, skipping the drainer
-			// wake entirely.
-			err = e.sendApp(slot, q, f)
-		} else {
-			err = q.enqueue(f, false)
-		}
-		if err != nil {
-			f.req = nil // caller keeps ownership on the error path
-			putFrame(f)
-			return err
-		}
-		return nil
+	e := d.engine
+	q := e.queue(slot)
+	if q == nil {
+		return xdev.Errf(DeviceName, "send", "no queue for slot %d", slot)
 	}
-	if err := d.writeMsg(slot, h, segments); err != nil {
-		d.markPeerDead(slot, err)
-		return d.peerLost(slot, err)
+	f := d.newFrame(h, segments, req, st)
+	var err error
+	if bounded {
+		err = e.sendApp(slot, q, f)
+	} else {
+		err = q.enqueue(f, false)
 	}
-	if req != nil {
-		req.Complete(st, nil)
+	if err != nil {
+		f.req = nil // caller keeps ownership on the error path
+		putFrame(f)
+		return err
 	}
 	return nil
 }
@@ -321,11 +309,11 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 		d.core.Counters.EagerSent.Add(1)
 		d.core.Counters.BytesSent.Add(uint64(wireLen))
 		h := header{typ: typ, src: uint32(d.cfg.Rank), tag: int32(tag), ctx: int32(context), seq: seq, wireLen: uint64(wireLen)}
-		// A non-sync eager request rides the frame: the drainer (or the
-		// direct write) completes it once the data is on the wire —
-		// buffer ownership returns to the user at completion, exactly as
-		// before. A sync request's completion is the receiver's ACK, so
-		// its frame carries no request.
+		// A non-sync eager request rides the frame: whoever writes it
+		// (caller or drainer) completes it once the data is on the wire,
+		// and buffer ownership returns to the user at completion. A sync
+		// request's completion is the receiver's ACK, so its frame
+		// carries no request.
 		var freq *devcore.Request
 		if !sync {
 			freq = req
@@ -736,9 +724,8 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 			// receive fails in the same peer-lost shape.
 			err = d.peerLost(int(h.src), err)
 		} else if h.typ == msgEagerSync {
-			// The matched-sync ACK is piggybacked: in engine mode it joins
-			// the next coalesced batch to h.src instead of paying its own
-			// write (satellite: no standalone ACK frames).
+			// The matched-sync ACK is piggybacked: it joins the next
+			// coalesced batch to h.src instead of paying its own write.
 			if ackErr := d.send(int(h.src), header{typ: msgAck, src: uint32(d.cfg.Rank), seq: h.seq}, nil, nil, xdev.Status{}, false); ackErr != nil {
 				err = ackErr
 			}
@@ -838,8 +825,8 @@ func (d *Device) handleRTR(h header) {
 			tag: req.SendTag, ctx: req.SendCtx,
 			seq: h.seq, wireLen: uint64(wireLen),
 		}
-		// The frame carries the request: the drainer (or direct write)
-		// completes it once the payload is on the wire.
+		// The frame carries the request: whoever writes it completes it
+		// once the payload is on the wire.
 		st := xdev.Status{Source: d.self, Bytes: wireLen}
 		if err := d.send(dst, dh, req.Buf.Segments(), req, st, true); err != nil {
 			req.Complete(xdev.Status{}, err)

@@ -11,39 +11,40 @@ import (
 	"mpj/internal/xdev"
 )
 
-// This file is the device's asynchronous outbound path (the default;
-// MPJ_SEND_ENGINE=direct restores the synchronous one). The original
-// writeMsg pattern — take the per-destination lock, issue one vectored
-// write, release — is exactly the paper's "lock dest channel / send /
-// unlock", and it serializes every concurrent sender on a mutex held
-// across a syscall while paying one wire write per frame. The send
-// engine inverts that: writeMsg callers enqueue frames on a bounded
-// per-peer MPSC queue and return immediately; a per-peer drainer
+// This file is the device's one outbound path for wire traffic. The
+// paper's send is "lock dest channel / send / unlock"; done naively it
+// serializes every concurrent sender on a mutex held across a syscall
+// while paying one wire write per frame. The send engine keeps that
+// shape when it is cheap and coalesces when it is not: a sender that
+// finds the peer's writer role free takes it and writes its own frame
+// plus anything queued (caller-runs); otherwise it enqueues on a
+// bounded per-peer MPSC queue and returns, and a per-peer drainer
 // goroutine coalesces everything queued — eager payloads, ACKs, RTRs,
 // rendezvous data — into a single wire write, amortizing the syscall
 // (and, on the in-process transport, the ring-buffer lock round) over
-// the whole batch. Ibdxnet applies the same shape to InfiniBand: lock
-// free per-connection send queues drained by a dedicated provider
-// thread with adaptive busy-poll/park progress.
+// the whole batch. Ibdxnet applies the same shape to InfiniBand:
+// per-connection send queues drained by a dedicated provider thread
+// with adaptive busy-poll/park progress.
 //
 // Invariants:
 //
 //   - Ordering: frames to one peer go out in enqueue order — the queue
-//     is FIFO and one drainer owns it — so the MPI non-overtaking
-//     guarantee per (src,dst) is exactly what the direct path gave.
-//   - Backpressure: data frames block once the queue holds SendQueue
-//     frames, bounding memory; control frames (ACK, RTR) enqueue
-//     unbounded because an input handler must never block on its own
-//     outbound queue (the two-sided flow-control deadlock).
+//     is FIFO and exactly one writer (caller or drainer) holds the
+//     take+write role at a time — so MPI's non-overtaking guarantee
+//     per (src,dst) holds.
+//   - Backpressure: data frames block once the queue holds
+//     DefaultSendQueue frames, bounding memory; control frames (ACK,
+//     RTR) enqueue unbounded because an input handler must never block
+//     on its own outbound queue (the two-sided flow-control deadlock).
 //   - Completion: a frame carrying a request completes it after the
 //     frame is on the wire, never before — buffer ownership transfers
-//     at completion, exactly as on the synchronous path.
+//     at completion.
 //   - Failure: poisoning a queue (peer death, revoked conn, Finish)
 //     wakes blocked enqueuers with the death error and fails every
 //     queued frame's request; no frame is silently dropped.
 
-// Send-engine tunables (see also MPJ_SEND_ENGINE / MPJ_SEND_SPIN /
-// MPJ_SEND_QUEUE and the matching xdev.Config fields).
+// Send-engine sizing and progress constants. None is an option: no
+// other setting won a benchmark row (DESIGN §12).
 const (
 	// DefaultSendQueue is the per-peer queue bound in frames.
 	DefaultSendQueue = 256
@@ -181,10 +182,10 @@ func (q *peerQueue) enqueue(f *sendFrame, bounded bool) error {
 // is poisoned or closing and fully drained: the drainer exits.
 //
 // The empty-queue wait is adaptive: the drainer first busy-polls
-// (spin scheduler yields, checking the lock-free depth mirror) so a
-// hot sender's next frame is picked up without a futex round trip,
-// then parks on the condition variable until signaled.
-func (q *peerQueue) takeBatch(dst []*sendFrame, spin int) []*sendFrame {
+// (DefaultSendSpin scheduler yields, checking the lock-free depth
+// mirror) so a hot sender's next frame is picked up without a futex
+// round trip, then parks on the condition variable until signaled.
+func (q *peerQueue) takeBatch(dst []*sendFrame) []*sendFrame {
 	q.mu.Lock()
 	q.busy = false
 	for {
@@ -225,15 +226,13 @@ func (q *peerQueue) takeBatch(dst []*sendFrame, spin int) []*sendFrame {
 			q.mu.Unlock()
 			return dst[:0]
 		}
-		if spin > 0 {
-			q.mu.Unlock()
-			for i := 0; i < spin && q.depth.Load() == 0; i++ {
-				runtime.Gosched()
-			}
-			q.mu.Lock()
-			if q.head < len(q.frames) || q.err != nil || q.closing {
-				continue
-			}
+		q.mu.Unlock()
+		for i := 0; i < DefaultSendSpin && q.depth.Load() == 0; i++ {
+			runtime.Gosched()
+		}
+		q.mu.Lock()
+		if q.head < len(q.frames) || q.err != nil || q.closing {
+			continue
 		}
 		q.waiting = true
 		q.ready.Wait()
@@ -306,17 +305,8 @@ func (q *peerQueue) waitIdle(deadline time.Time) bool {
 
 // sendEngine owns one peerQueue and one drainer goroutine per peer.
 type sendEngine struct {
-	d    *Device
-	qs   []*peerQueue // indexed by slot; nil for self
-	spin int
-
-	// inline enables the caller-runs fast path (MPJ_SEND_INLINE,
-	// default on): a may-block sender that finds the writer role free
-	// writes its own frame — plus anything queued — itself. Off, every
-	// frame goes through the drainer: callers never touch the wire
-	// (the tentpole's strict no-blocking-send semantics) at the cost
-	// of a scheduling handoff per batch.
-	inline bool
+	d  *Device
+	qs []*peerQueue // indexed by slot; nil for self
 
 	// batchHist counts completed batches by frames-per-batch bucket:
 	// bucket i holds batches of [2^i, 2^(i+1)) frames. The coalescing
@@ -325,11 +315,11 @@ type sendEngine struct {
 	batchHist [8]atomic.Uint64
 }
 
-func newSendEngine(d *Device, queue, spin int, inline bool) *sendEngine {
-	e := &sendEngine{d: d, qs: make([]*peerQueue, d.cfg.Size), spin: spin, inline: inline}
+func newSendEngine(d *Device) *sendEngine {
+	e := &sendEngine{d: d, qs: make([]*peerQueue, d.cfg.Size)}
 	for slot := range e.qs {
 		if slot != d.cfg.Rank {
-			e.qs[slot] = newPeerQueue(queue)
+			e.qs[slot] = newPeerQueue(DefaultSendQueue)
 		}
 	}
 	return e
@@ -426,16 +416,13 @@ var inlinePool = sync.Pool{New: func() any {
 // (inline or drainer batch take) is in flight and everything queued
 // fits one batch, the calling goroutine becomes the peer's writer — it
 // takes the queued frames, appends its own, and issues the wire write
-// itself. That keeps the direct path's inline latency (no drainer
+// itself. That keeps the paper's lock-send-unlock latency (no drainer
 // wake, no completion handoff) while still coalescing whatever other
 // senders queued meanwhile; under contention or when the queue is deep
 // it degrades gracefully to a plain bounded enqueue for the drainer.
 // Only may-block threads use this — input handlers always enqueue
 // (§IV-A.2: a handler must never block on a wire write).
 func (e *sendEngine) sendApp(slot int, q *peerQueue, f *sendFrame) error {
-	if !e.inline {
-		return q.enqueue(f, true)
-	}
 	q.mu.Lock()
 	if q.err != nil || q.closing || q.writer || q.len()+1 > maxBatchFrames {
 		q.mu.Unlock()
@@ -525,7 +512,7 @@ func (e *sendEngine) drain(slot int) {
 		default:
 			batch = make([]*sendFrame, 0, maxBatchFrames)
 		}
-		batch = q.takeBatch(batch, e.spin)
+		batch = q.takeBatch(batch)
 		if len(batch) == 0 {
 			return
 		}

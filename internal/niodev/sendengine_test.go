@@ -1,6 +1,7 @@
 package niodev
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -9,6 +10,22 @@ import (
 	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
+
+// setQueueBound lowers every peer send queue of d to bound frames.
+// Call it after Init and before any traffic. A one-rank device has no
+// engine and nothing to bound.
+func setQueueBound(d *Device, bound int) {
+	if d.engine == nil {
+		return
+	}
+	for _, q := range d.engine.qs {
+		if q != nil {
+			q.mu.Lock()
+			q.limit = bound
+			q.mu.Unlock()
+		}
+	}
+}
 
 // TestPeerQueueBatchOrder checks the queue's FIFO contract: a batch
 // pops frames in enqueue order, up to the batch caps.
@@ -23,7 +40,7 @@ func TestPeerQueueBatchOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := q.takeBatch(nil, 0)
+	got := q.takeBatch(nil)
 	if len(got) != 5 {
 		t.Fatalf("batch has %d frames, want 5", len(got))
 	}
@@ -80,7 +97,7 @@ func TestPeerQueuePoisonWakesBlockedEnqueuer(t *testing.T) {
 		t.Fatalf("post-poison enqueue: %v, want poison error", err)
 	}
 	putFrame(f3)
-	if batch := q.takeBatch(nil, 0); len(batch) != 0 {
+	if batch := q.takeBatch(nil); len(batch) != 0 {
 		t.Fatalf("takeBatch on poisoned queue returned %d frames", len(batch))
 	}
 	putFrame(f1)
@@ -104,11 +121,11 @@ func TestPeerQueueCloseWithAppendsBehindQueued(t *testing.T) {
 	if err := q.enqueue(getFrame(), false); err == nil {
 		t.Fatal("enqueue accepted after closeWith")
 	}
-	batch := q.takeBatch(nil, 0)
+	batch := q.takeBatch(nil)
 	if len(batch) != 2 || batch[0] != data || batch[1] != bye {
 		t.Fatalf("closing batch = %d frames, want [data, bye] in order", len(batch))
 	}
-	if again := q.takeBatch(nil, 0); len(again) != 0 {
+	if again := q.takeBatch(nil); len(again) != 0 {
 		t.Fatal("takeBatch did not report the closed queue as drained")
 	}
 	putFrame(data)
@@ -120,7 +137,7 @@ func TestPeerQueueCloseWithAppendsBehindQueued(t *testing.T) {
 // reach the peer ahead of the goodbye — no frame left queued.
 func TestSendEngineFlushOnFinish(t *testing.T) {
 	const n = 64
-	runJob(t, 2, xdev.Config{SendEngine: "engine"}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank == 0 {
 			if d.engine == nil {
 				t.Error("send engine not running under default config")
@@ -168,10 +185,13 @@ func TestSendEngineFlushOnFinish(t *testing.T) {
 // drainer is wedged mid-batch behind the conn-ownership lock) must
 // wake with ErrPeerLost when the peer is declared dead.
 func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
-	runJob(t, 2, xdev.Config{SendEngine: "engine", SendQueue: 1}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank != 0 {
 			return // rank 1 just exists to be declared dead
 		}
+		// Bound the peer queue at one frame, so a handful of senders
+		// is enough to fill it.
+		setQueueBound(d, 1)
 		// Wedge the drainer: it takes wmu[1] per batch, so holding the
 		// lock stalls the first frame mid-write and lets the queue
 		// (limit 1) fill behind it.
@@ -213,7 +233,7 @@ func TestSendEngineManySendersOnePeer(t *testing.T) {
 	if testing.Short() {
 		msgs = 50
 	}
-	runJob(t, 2, xdev.Config{SendEngine: "engine"}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank == 0 {
 			var wg sync.WaitGroup
 			for s := 0; s < senders; s++ {
@@ -231,7 +251,7 @@ func TestSendEngineManySendersOnePeer(t *testing.T) {
 			// batch counters moved.
 			st := d.Stats()
 			if st.SendBatches == 0 {
-				t.Error("engine mode ran but SendBatches = 0")
+				t.Error("engine ran but SendBatches = 0")
 			}
 			if st.FramesCoalesced < st.SendBatches {
 				t.Errorf("FramesCoalesced=%d < SendBatches=%d", st.FramesCoalesced, st.SendBatches)
@@ -256,42 +276,11 @@ func TestSendEngineManySendersOnePeer(t *testing.T) {
 	})
 }
 
-// TestSendEngineDirectModeEscapeHatch pins MPJ_SEND_ENGINE=direct and
-// checks both that no engine runs and that traffic still flows.
-func TestSendEngineDirectModeEscapeHatch(t *testing.T) {
-	runJob(t, 2, xdev.Config{SendEngine: "direct"}, func(d *Device, rank int, pids []xdev.ProcessID) {
-		if d.engine != nil {
-			t.Error("direct mode still started a send engine")
-			return
-		}
-		if rank == 0 {
-			sendInts(t, d, pids[1], 3, []int32{42})
-		} else {
-			if got := recvInts(t, d, pids[0], 3, 1); len(got) != 1 || got[0] != 42 {
-				t.Errorf("direct mode recv: %v", got)
-			}
-			if st := d.Stats(); st.SendBatches != 0 {
-				t.Errorf("direct mode counted %d send batches", st.SendBatches)
-			}
-		}
-	})
-}
-
-// TestSendEngineBadMode ensures an unknown selector fails Init loudly
-// instead of silently picking a path.
-func TestSendEngineBadMode(t *testing.T) {
-	d := New()
-	_, err := d.Init(xdev.Config{Rank: 0, Size: 1, SendEngine: "warp"})
-	if err == nil {
-		t.Fatal("Init accepted SendEngine=warp")
-	}
-}
-
 // TestSendEngineCountersAndIntrospection checks the observability
-// satellite: batch counters move, and Introspect reports the engine
-// state plus per-peer queue depth fields.
+// surface: batch counters move, and Introspect reports the engine's
+// batch histogram plus per-peer queue depth.
 func TestSendEngineCountersAndIntrospection(t *testing.T) {
-	runJob(t, 2, xdev.Config{SendEngine: "engine"}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank == 0 {
 			for i := 0; i < 32; i++ {
 				sendInts(t, d, pids[1], 11, []int32{int32(i)})
@@ -312,12 +301,6 @@ func TestSendEngineCountersAndIntrospection(t *testing.T) {
 			if !ok {
 				t.Fatalf("Introspect returned %T", d.Introspect())
 			}
-			if intro.SendEngine.Mode != "engine" {
-				t.Errorf("introspected mode = %q, want engine", intro.SendEngine.Mode)
-			}
-			if intro.SendEngine.QueueLimit != DefaultSendQueue {
-				t.Errorf("introspected queue limit = %d, want %d", intro.SendEngine.QueueLimit, DefaultSendQueue)
-			}
 			hist := intro.SendEngine.BatchHist
 			var total uint64
 			for _, b := range hist {
@@ -325,6 +308,24 @@ func TestSendEngineCountersAndIntrospection(t *testing.T) {
 			}
 			if total == 0 {
 				t.Error("batch histogram is empty after 32 sends")
+			}
+			// The engine block carries only the histogram: its sizing
+			// and spin are constants, not state worth serving.
+			raw, err := json.Marshal(intro.SendEngine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := fields["batchHist"]; !ok || len(fields) != 1 {
+				t.Errorf("sendEngine block = %s, want only batchHist", raw)
+			}
+			if len(intro.Peers) != 1 || intro.Peers[0].Slot != 1 || !intro.Peers[0].Connected {
+				t.Errorf("introspected peers = %+v, want connected slot 1", intro.Peers)
+			} else if qd := intro.Peers[0].SendQueue; qd < 0 || qd > DefaultSendQueue {
+				t.Errorf("peer send-queue depth = %d, want within [0,%d]", qd, DefaultSendQueue)
 			}
 			return
 		}

@@ -35,19 +35,15 @@ type peerState struct {
 	Connected bool   `json:"connected"`
 	Err       string `json:"err,omitempty"`
 	// SendQueue is the number of frames currently queued for this peer
-	// in the asynchronous send engine (always 0 in direct mode).
+	// in the send engine.
 	SendQueue int `json:"sendQueue,omitempty"`
 }
 
 // sendEngineState is the engine's live view for Introspect: the
-// configured tunables plus the frames-per-batch histogram (bucket i
-// counts batches of 2^i..2^(i+1)-1 frames; the last is open-ended).
+// frames-per-batch histogram (bucket i counts batches of
+// 2^i..2^(i+1)-1 frames; the last is open-ended).
 type sendEngineState struct {
-	Mode       string   `json:"mode"`
-	QueueLimit int      `json:"queueLimit,omitempty"`
-	Spin       int      `json:"spin,omitempty"`
-	Inline     bool     `json:"inline,omitempty"`
-	BatchHist  []uint64 `json:"batchHist,omitempty"`
+	BatchHist []uint64 `json:"batchHist,omitempty"`
 }
 
 // introspection is the live-state dump the telemetry endpoint serves:
@@ -62,18 +58,9 @@ type introspection struct {
 // Introspect snapshots the device's live progress-engine and
 // connection state for the telemetry /introspect endpoint.
 func (d *Device) Introspect() any {
-	out := introspection{
-		Core:       d.core.Introspect(),
-		SendEngine: sendEngineState{Mode: "direct"},
-	}
+	out := introspection{Core: d.core.Introspect()}
 	if e := d.engine; e != nil {
-		out.SendEngine = sendEngineState{
-			Mode:       "engine",
-			QueueLimit: d.sendQueue,
-			Spin:       d.sendSpin,
-			Inline:     e.inline,
-			BatchHist:  e.histSnapshot(),
-		}
+		out.SendEngine.BatchHist = e.histSnapshot()
 	}
 	for slot := range d.pids {
 		if slot == d.cfg.Rank {

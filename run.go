@@ -34,20 +34,6 @@ type Options struct {
 	// EagerLimit overrides the eager→rendezvous switch point in bytes
 	// (niodev only; default 128 KiB, the paper's TCP figure).
 	EagerLimit int
-	// SendEngine selects niodev's outbound path: "" or "engine" (the
-	// default) runs the asynchronous per-peer send engine — frames
-	// enqueue on bounded per-peer queues and coalescing sender
-	// goroutines batch them into single wire writes — while "direct"
-	// restores the synchronous lock-and-write path (escape hatch).
-	// Empty falls back to MPJ_SEND_ENGINE.
-	SendEngine string
-	// SendQueue bounds the per-peer send queue in frames (backpressure
-	// for the engine path). 0 selects MPJ_SEND_QUEUE, then 256.
-	SendQueue int
-	// SendSpin sets how many scheduler yields an idle sender goroutine
-	// busy-polls before parking. 0 selects MPJ_SEND_SPIN, then 128;
-	// negative parks immediately.
-	SendSpin int
 	// Fabric, when non-empty, runs niodev over an in-memory link shaped
 	// to the named fabric ("fast", "gige", "mx") — wall-clock latency
 	// and bandwidth emulation (see internal/netsim).
@@ -102,9 +88,6 @@ func (o *Options) withDefaults() Options {
 		}
 		out.NodeMap = o.NodeMap
 		out.EagerLimit = o.EagerLimit
-		out.SendEngine = o.SendEngine
-		out.SendQueue = o.SendQueue
-		out.SendSpin = o.SendSpin
 		out.Fabric = o.Fabric
 		out.ThreadLevel = o.ThreadLevel
 		out.Tracing = o.Tracing
@@ -212,7 +195,6 @@ func RunLocalOpts(n int, opts *Options, body func(p *Process) error) error {
 				Rank: rank, Size: n, Addrs: addrs,
 				Dialer: dialer, EagerLimit: o.EagerLimit, Group: job,
 				NodeOf: nodeOf, Colocated: true,
-				SendEngine: o.SendEngine, SendQueue: o.SendQueue, SendSpin: o.SendSpin,
 			}
 			if o.RecordDir != "" || o.ReplayDir != "" {
 				sessions[rank], err = replay.Open(replay.Config{
@@ -407,17 +389,6 @@ const (
 	EnvRecord        = "MPJ_RECORD"
 	EnvReplay        = "MPJ_REPLAY"
 	EnvReplayTimeout = "MPJ_REPLAY_TIMEOUT_MS"
-
-	// EnvSendEngine selects niodev's outbound path ("engine"/"on" —
-	// the default — or "direct"/"off"); EnvSendQueue bounds the
-	// per-peer send queue in frames (default 256); EnvSendSpin sets
-	// the idle busy-poll length in scheduler yields before a sender
-	// goroutine parks (default 128, negative parks immediately). Read
-	// by the device at Init when the matching Options/Config fields
-	// are unset.
-	EnvSendEngine = "MPJ_SEND_ENGINE"
-	EnvSendQueue  = "MPJ_SEND_QUEUE"
-	EnvSendSpin   = "MPJ_SEND_SPIN"
 )
 
 // InitFromEnv joins the multi-process job described by the MPJ_*
